@@ -92,7 +92,7 @@ class BloomFilter:
 
     def bit_string(self) -> str:
         """The 0/1-character rendering sent inside the S3 Select SQL."""
-        return "".join("1" if b else "0" for b in self.bits)
+        return (self.bits.view(np.uint8) + ord("0")).tobytes().decode("ascii")
 
     def to_predicate(self, column: str) -> str:
         """S3 Select boolean text testing ``column`` against the filter."""

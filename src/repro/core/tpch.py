@@ -157,10 +157,39 @@ def _bloom_or_none(keys, column: str, seed: int = 0):
     return fit_fpr_to_limit(keys, _FPR, column, _SQL_BUDGET, seed=seed)
 
 
+_Q1_SUMS = {
+    "sum_qty": "CAST(l_quantity AS FLOAT)",
+    "sum_base_price": "CAST(l_extendedprice AS FLOAT)",
+    "sum_disc_price": (
+        "CAST(l_extendedprice AS FLOAT) * (1 - CAST(l_discount AS FLOAT))"
+    ),
+    "sum_charge": (
+        "CAST(l_extendedprice AS FLOAT) * (1 - CAST(l_discount AS FLOAT))"
+        " * (1 + CAST(l_tax AS FLOAT))"
+    ),
+    "sum_disc": "CAST(l_discount AS FLOAT)",
+    "count_order": "1",
+}
+
+
+def _q1_sql(combos: list) -> str:
+    """Q1's S3 Select text: one SUM(CASE ...) per (group, sum) pair."""
+    items = []
+    for gi, (rf, ls) in enumerate(combos):
+        cond = f"l_returnflag = '{rf}' AND l_linestatus = '{ls}'"
+        for name, expr in _Q1_SUMS.items():
+            items.append(
+                f"SUM(CASE WHEN {cond} THEN {expr} ELSE 0 END) AS {name}_{gi}"
+            )
+    return (
+        "SELECT " + ", ".join(items)
+        + " FROM S3Object WHERE l_shipdate <= '1998-09-02'"
+    )
+
+
 def _opt_q1(spark, runner: Runner, tables: dict) -> QueryResult:
     """S3-side group-by over (returnflag, linestatus) via CASE sums."""
     li = tables["lineitem"]
-    date = "'1998-09-02'"
     # Group values come from catalog statistics: l_returnflag and
     # l_linestatus are tiny fixed domains, so the generic s3-side
     # group-by's discovery scan (phase 1 in SVI-A, exercised by
@@ -169,35 +198,11 @@ def _opt_q1(spark, runner: Runner, tables: dict) -> QueryResult:
     combos = sorted(
         set(zip(li.pdf["l_returnflag"], li.pdf["l_linestatus"]))
     )
-
-    sums = {
-        "sum_qty": "CAST(l_quantity AS FLOAT)",
-        "sum_base_price": "CAST(l_extendedprice AS FLOAT)",
-        "sum_disc_price": (
-            "CAST(l_extendedprice AS FLOAT) * (1 - CAST(l_discount AS FLOAT))"
-        ),
-        "sum_charge": (
-            "CAST(l_extendedprice AS FLOAT) * (1 - CAST(l_discount AS FLOAT))"
-            " * (1 + CAST(l_tax AS FLOAT))"
-        ),
-        "sum_disc": "CAST(l_discount AS FLOAT)",
-        "count_order": "1",
-    }
-    items = []
-    for gi, (rf, ls) in enumerate(combos):
-        cond = f"l_returnflag = '{rf}' AND l_linestatus = '{ls}'"
-        for name, expr in sums.items():
-            items.append(
-                f"SUM(CASE WHEN {cond} THEN {expr} ELSE 0 END) AS {name}_{gi}"
-            )
-    sql = (
-        "SELECT " + ", ".join(items)
-        + f" FROM S3Object WHERE l_shipdate <= {date}"
-    )
+    sql = _q1_sql(combos)
     with runner.phase(
         "s3-aggregate",
         n_objects=len(li.keys),
-        case_columns=len(combos) * len(sums),
+        case_columns=len(combos) * len(_Q1_SUMS),
     ):
         partials = [s3_select(runner.store, k, sql) for k in li.keys]
     total = pd.concat(partials, ignore_index=True).astype(float).sum()

@@ -19,8 +19,23 @@ AGG_FUNCS = {"SUM", "COUNT", "AVG", "MIN", "MAX"}
 
 @dataclass(frozen=True)
 class Literal:
-    """A string, integer, float, or NULL literal."""
+    """A string, integer, float, or NULL literal.
+
+    Equality and hash include the value's type: ``1``, ``1.0`` and
+    ``True`` compare equal in Python but evaluate to different dtypes,
+    so the evaluator's subexpression memo must keep them apart.
+    """
     value: Union[str, int, float, None]
+
+    def __eq__(self, other):
+        return (
+            type(other) is Literal
+            and type(self.value) is type(other.value)
+            and self.value == other.value
+        )
+
+    def __hash__(self):
+        return hash((type(self.value), self.value))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,11 @@ Semantics notes (kept deliberately close to the real service):
 * An aggregate query must be all-aggregates (no group-by exists, so a
   bare column next to ``SUM(...)`` is rejected) -- this is the
   restriction the paper's CASE-WHEN group-by works around.
+
+Each distinct subexpression is evaluated once per request (per frame),
+since the CASE group-by repeats the same CASTs and conditions across
+dozens of columns; memo keys are type-exact (``Literal``) because
+``x * 1`` and ``x * 1.0`` yield different dtypes and so different CSV.
 """
 from __future__ import annotations
 
@@ -87,9 +92,17 @@ def _like_to_regex(pattern: str) -> str:
 
 
 class _Evaluator:
+    """Evaluates expressions over one frame, each distinct AST node once.
+
+    ``memo`` is only valid for ``df``, so every frame gets its own
+    evaluator. Memoised values are shared, so no ``_eval_*`` method may
+    modify a value it got from :meth:`eval`.
+    """
+
     def __init__(self, df: pd.DataFrame):
         self.df = df
         self.colmap = {c.lower(): c for c in df.columns}
+        self.memo: dict = {}
 
     def col(self, name: str) -> pd.Series:
         actual = self.colmap.get(name.lower())
@@ -102,10 +115,15 @@ class _Evaluator:
     # -- expression dispatch ---------------------------------------------
 
     def eval(self, e):
+        try:
+            return self.memo[e]
+        except KeyError:
+            pass
         method = getattr(self, "_eval_" + type(e).__name__.lower(), None)
         if method is None:
             raise SqlEvalError(f"cannot evaluate node {type(e).__name__}")
-        return method(e)
+        v = self.memo[e] = method(e)
+        return v
 
     def _eval_literal(self, e: Literal):
         return e.value
@@ -182,7 +200,7 @@ class _Evaluator:
             and isinstance(start, pd.Series)
             and (length == 1 or length is None)
         ):
-            chars = np.array(list(s))
+            chars = np.frombuffer(s.encode("utf-32-le"), dtype="<U1")
             pos = _to_numeric(start)
             idx = pos.to_numpy(dtype="float64")
             valid = np.isfinite(idx) & (idx >= 1) & (idx <= len(chars))

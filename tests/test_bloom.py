@@ -72,6 +72,13 @@ def test_bit_string_matches_bits():
     assert [c == "1" for c in s] == bf.bits.tolist()
 
 
+@pytest.mark.parametrize("m", [1, 2, 7, 64, 1001])
+def test_bit_string_matches_per_bit_rendering(m):
+    bf = bloom.BloomFilter(1, 0.1)
+    bf.bits = np.random.default_rng(m).random(m) < 0.5
+    assert bf.bit_string() == "".join("1" if b else "0" for b in bf.bits)
+
+
 def test_predicate_is_k_substring_conjuncts():
     bf = bloom.build_from_keys(np.arange(50), 0.01)
     pred = bf.to_predicate("k")

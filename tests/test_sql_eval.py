@@ -9,6 +9,9 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import tpch
+from repro.s3sim.csvio import to_csv_bytes
+from repro.s3sim.sql_ast import Cast, walk
 from repro.s3sim.sql_eval import SqlEvalError, eval_query
 from repro.s3sim.sql_parser import parse
 
@@ -185,6 +188,15 @@ def test_substring_literal_vector_position(df):
     assert out["bit"].tolist() == ["1", "0", "1", "1"]
 
 
+def test_substring_literal_vector_position_non_ascii(df):
+    out = run(
+        "SELECT SUBSTRING('1é0☃1', CAST(a AS INT), 1) AS ch FROM S3Object "
+        "WHERE a IS NOT NULL",
+        df,
+    )
+    assert out["ch"].tolist() == ["1", "é", "0", "☃"]
+
+
 def test_substring_out_of_range_is_empty(df):
     out = run(
         "SELECT SUBSTRING('ab', CAST(a AS INT) * 10, 1) AS s FROM S3Object "
@@ -292,33 +304,62 @@ def test_nested_aggregate_rejected(df):
 
 # -- cross-check against DuckDB ---------------------------------------------
 
+def _case_sums(v: str, a: str) -> str:
+    """Repeated CASE sums sharing the CASTs ``v`` and ``a`` and two conditions."""
+    return ", ".join(
+        f"SUM(CASE WHEN b = '{g}' THEN {v} ELSE 0 END) AS s{g}, "
+        f"SUM(CASE WHEN b = '{g}' THEN {v} * (1 - {a}) ELSE 0 END) AS d{g}"
+        for g in ("x", "y")
+    )
+
+
 @pytest.mark.parametrize(
-    "ours,duck",
+    "ours,duck,csv",
     [
         (
             "SELECT a FROM S3Object WHERE CAST(a AS FLOAT) > 2",
             "SELECT a FROM t WHERE TRY_CAST(a AS DOUBLE) > 2",
+            b"a\n3\n4\n",
         ),
         (
             "SELECT SUM(CAST(v AS FLOAT)) AS s FROM S3Object WHERE b != 'y'",
             "SELECT SUM(CAST(v AS DOUBLE)) AS s FROM t WHERE b != 'y'",
+            b"s\n0.75\n",
         ),
         (
             "SELECT d FROM S3Object WHERE d BETWEEN '1992-06-01' AND '1994-06-01'",
             "SELECT d FROM t WHERE d BETWEEN '1992-06-01' AND '1994-06-01'",
+            b"d\n1993-06-15\n1994-01-01\n1992-12-31\n",
         ),
         (
             "SELECT b, d FROM S3Object WHERE b IN ('x', 'y') AND d < '1994-01-01'",
             "SELECT b, d FROM t WHERE b IN ('x', 'y') AND d < '1994-01-01'",
+            b"b,d\nx,1992-01-01\ny,1993-06-15\n",
         ),
         (
             "SELECT COUNT(*) AS c, MIN(d) AS lo FROM S3Object WHERE b LIKE '_'",
             "SELECT COUNT(*) AS c, MIN(d) AS lo FROM t WHERE b LIKE '_'",
+            b"c,lo\n5,1992-01-01\n",
+        ),
+        (
+            f"SELECT {_case_sums('CAST(v AS FLOAT)', 'CAST(a AS FLOAT)')} "
+            "FROM S3Object WHERE CAST(v AS FLOAT) < 5",
+            f"SELECT {_case_sums('CAST(v AS DOUBLE)', 'TRY_CAST(a AS DOUBLE)')} "
+            "FROM t WHERE CAST(v AS DOUBLE) < 5",
+            b"sx,dx,sy,dy\n0.5,2.0,2.5,-2.5\n",
+        ),
+        (
+            # Equal in Python (1 == 1.0), but int vs float columns.
+            "SELECT a * 1 AS p, a * 1.0 AS q FROM S3Object WHERE a IS NOT NULL",
+            "SELECT TRY_CAST(a AS INTEGER) * 1 AS p, "
+            "TRY_CAST(a AS INTEGER) * 1.0 AS q FROM t WHERE a != ''",
+            b"p,q\n1,1.0\n2,2.0\n3,3.0\n4,4.0\n",
         ),
     ],
 )
-def test_matches_duckdb(df, ours, duck):
+def test_matches_duckdb(df, ours, duck, csv):
     got = run(ours, df).reset_index(drop=True)
+    assert to_csv_bytes(got) == csv
     con = duckdb.connect()
     con.register("t", df)
     expected = con.execute(duck).fetchdf()
@@ -330,6 +371,84 @@ def test_matches_duckdb(df, ours, duck):
         expected.sort_values(list(expected.columns)).reset_index(drop=True),
         check_dtype=False,
     )
+
+
+# -- common subexpressions ----------------------------------------------------
+
+def test_q1_converts_each_distinct_cast_once(monkeypatch):
+    """Q1's 36 CASE columns share 4 CASTs: one numeric conversion each."""
+    combos = [("A", "F"), ("A", "O"), ("N", "F"), ("N", "O"), ("R", "F"), ("R", "O")]
+    q = parse(tpch._q1_sql(combos))
+    casts = {n for it in q.items for n in walk(it.expr) if isinstance(n, Cast)}
+    assert len(q.items) == 36 and len(casts) == 4
+    rf, ls = zip(*combos * 2)
+    rows = pd.DataFrame(
+        {
+            "l_returnflag": rf,
+            "l_linestatus": ls,
+            "l_quantity": [str(i) for i in range(1, 13)],
+            "l_extendedprice": ["100.5"] * 12,
+            "l_discount": ["0.05"] * 12,
+            "l_tax": ["0.25"] * 12,
+            "l_shipdate": ["1998-01-01"] * 11 + ["1998-12-01"],
+        }
+    )
+    calls = []
+    to_numeric = pd.to_numeric
+    monkeypatch.setattr(
+        pd, "to_numeric", lambda *a, **k: calls.append(1) or to_numeric(*a, **k)
+    )
+    out = eval_query(q, rows)
+    assert len(calls) == len(casts)
+    counts = [out[f"count_order_{gi}"].iloc[0] for gi in range(len(combos))]
+    assert counts == [2, 2, 2, 2, 2, 1]
+    assert out["sum_qty_0"].iloc[0] == 1 + 7
+    assert out["sum_charge_5"].iloc[0] == 100.5 * 0.95 * 1.25
+
+
+_REPEATED = (
+    "SELECT SUM(CASE WHEN b = 'x' THEN CAST(v AS FLOAT) ELSE 0 END) AS sx, "
+    "SUM(CASE WHEN b = 'x' THEN CAST(v AS FLOAT) * CAST(v AS FLOAT) ELSE 0 END) AS sxx, "
+    "COUNT(CAST(v AS FLOAT)) AS n FROM S3Object"
+)
+
+
+@pytest.mark.parametrize(
+    "rows,where,expected",
+    [
+        (  # full selectivity
+            slice(None),
+            " WHERE CAST(v AS FLOAT) > -50 AND CAST(v AS FLOAT) < 50",
+            [0.5, 3.25, 5],
+        ),
+        (  # zero selectivity
+            slice(None),
+            " WHERE CAST(v AS FLOAT) > 50 OR CAST(v AS FLOAT) < -50",
+            [None, None, 0],
+        ),
+        (slice(0, 0), "", [None, None, 0]),  # empty object
+    ],
+)
+def test_repeated_subexpressions_edge_cases(df, rows, where, expected):
+    frame = df.iloc[rows]
+    assert run(_REPEATED + where, frame).iloc[0].tolist() == expected
+    proj = run(
+        "SELECT CAST(v AS FLOAT) AS p, CAST(v AS FLOAT) * 2 AS q FROM S3Object"
+        + where,
+        frame,
+    )
+    assert len(proj) == expected[2]
+    assert (proj["q"] == 2 * proj["p"]).all()
+
+
+def test_repeated_subexpressions_all_null_column(df):
+    out = run(
+        "SELECT SUM(CASE WHEN b = 'x' THEN CAST(n AS FLOAT) ELSE 0 END) AS sx, "
+        "SUM(CAST(n AS FLOAT)) AS s, COUNT(CAST(n AS FLOAT)) AS c, "
+        "COUNT(*) AS r FROM S3Object WHERE n IS NULL AND NOT n IS NOT NULL",
+        df.assign(n=[""] * len(df)),
+    )
+    assert out.iloc[0].tolist() == [0.0, None, 0, 5]
 
 
 def test_large_frame_vectorized_substring_speed():
